@@ -88,6 +88,14 @@ enum Slot {
     Vacant { gen: u32 },
 }
 
+/// The flow in `slot`, which the solver's worklist guarantees is occupied.
+fn occupied(slot: &Slot) -> &Flow {
+    match slot {
+        Slot::Occupied { flow, .. } => flow,
+        Slot::Vacant { .. } => unreachable!("worklist held a vacant slot"),
+    }
+}
+
 /// Parameters for starting a flow. See [`FluidSystem::start_flow`].
 #[derive(Debug, Clone)]
 pub struct FlowSpec {
@@ -145,6 +153,24 @@ pub struct FluidSystem {
     free: Vec<u32>,
     active: usize,
     dirty: bool,
+    /// Sum of the rates crossing each resource, in slot order, as of the
+    /// last solve.
+    totals: Vec<f64>,
+    scratch: Scratch,
+}
+
+/// Per-solve buffers of [`FluidSystem::ensure_rates`], kept between solves
+/// so that a solve allocates nothing once they have grown.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Rate already frozen on each resource.
+    used: Vec<f64>,
+    /// Unfrozen weight on each resource in the current round.
+    weight_on: Vec<f64>,
+    /// Resources saturated at the current round's level.
+    saturated: Vec<bool>,
+    /// Slot indices of unfrozen flows, ascending.
+    unfrozen: Vec<u32>,
 }
 
 impl FluidSystem {
@@ -315,10 +341,7 @@ impl FluidSystem {
     /// Sum of current flow rates through `r` (≤ capacity).
     pub fn total_rate_on(&mut self, r: ResourceId) -> f64 {
         self.ensure_rates();
-        self.iter_flows()
-            .filter(|(_, f)| f.links.contains(&r))
-            .map(|(_, f)| f.rate)
-            .sum()
+        self.totals.get(r.0 as usize).copied().unwrap_or(-0.0)
     }
 
     /// Instantaneous utilization of `r` in `[0, 1]` (0 for zero-capacity
@@ -352,25 +375,20 @@ impl FluidSystem {
         })
     }
 
-    fn flow_by_idx(&self, idx: u32) -> Option<&Flow> {
-        match self.slots.get(idx as usize)? {
-            Slot::Occupied { flow, .. } => Some(flow),
-            Slot::Vacant { .. } => None,
-        }
-    }
-
-    fn set_rate_by_idx(&mut self, idx: u32, rate: f64) {
-        if let Some(Slot::Occupied { flow, .. }) = self.slots.get_mut(idx as usize) {
-            flow.rate = rate;
-        }
-    }
-
     /// Recomputes all flow rates by weighted progressive filling.
     ///
     /// Each round, every unfrozen flow `f` grows at rate `weight_f · λ`. The
     /// smallest `λ` at which either (a) a resource saturates or (b) a flow
     /// hits its `max_rate` freezes the affected flows, and the remaining
     /// flows keep growing. Terminates in at most `resources + flows` rounds.
+    ///
+    /// The result is bit-identical to [`FluidSystem::reference_rates`]. A
+    /// round walks only the worklist of unfrozen slot indices, which starts
+    /// in ascending slot order and shrinks by an order-preserving `retain`;
+    /// so every f64 sum (`weight_on`, `used`, the per-resource totals) adds
+    /// the same terms in the same order as the reference, which scans every
+    /// slot and skips frozen ones. Buffers live in [`Scratch`] and links are
+    /// borrowed in place, so a solve allocates nothing once warm.
     fn ensure_rates(&mut self) {
         if !self.dirty {
             return;
@@ -378,17 +396,112 @@ impl FluidSystem {
         self.dirty = false;
 
         let n_res = self.resources.len();
+        let Scratch {
+            used,
+            weight_on,
+            saturated,
+            unfrozen,
+        } = &mut self.scratch;
+        used.clear();
+        used.resize(n_res, 0.0);
+        unfrozen.clear();
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Slot::Occupied { flow, .. } = slot {
+                flow.rate = 0.0;
+                unfrozen.push(i as u32);
+            }
+        }
+
+        let mut rounds = 0u64;
+        while !unfrozen.is_empty() {
+            rounds += 1;
+            // Aggregate unfrozen weight per resource.
+            weight_on.clear();
+            weight_on.resize(n_res, 0.0);
+            for &i in unfrozen.iter() {
+                let f = occupied(&self.slots[i as usize]);
+                for l in &f.links {
+                    weight_on[l.0 as usize] += f.weight;
+                }
+            }
+
+            // Bottleneck level over resources and flow caps.
+            let level = |r: usize| (self.resources[r].capacity - used[r]).max(0.0) / weight_on[r];
+            let mut lambda = f64::INFINITY;
+            for (r, &w) in weight_on.iter().enumerate() {
+                if w > 0.0 {
+                    lambda = lambda.min(level(r));
+                }
+            }
+            for &i in unfrozen.iter() {
+                let f = occupied(&self.slots[i as usize]);
+                if f.max_rate.is_finite() {
+                    lambda = lambda.min(f.max_rate / f.weight);
+                }
+            }
+            assert!(
+                lambda.is_finite(),
+                "unfrozen flow with no binding constraint (flow without links?)"
+            );
+
+            // Freeze every flow touching a resource saturated at `lambda`,
+            // and every flow whose cap equals `lambda`.
+            let tol = 1e-12 + lambda * 1e-12;
+            saturated.clear();
+            saturated.extend((0..n_res).map(|r| weight_on[r] > 0.0 && level(r) <= lambda + tol));
+            let slots = &mut self.slots;
+            let mut froze_any = false;
+            unfrozen.retain(|&i| {
+                let Slot::Occupied { flow: f, .. } = &mut slots[i as usize] else {
+                    unreachable!("worklist held a vacant slot")
+                };
+                let hits_saturated = f.links.iter().any(|l| saturated[l.0 as usize]);
+                let capped = f.max_rate.is_finite() && f.max_rate / f.weight <= lambda + tol;
+                if !(hits_saturated || capped) {
+                    return true;
+                }
+                f.rate = if capped && !hits_saturated {
+                    f.max_rate
+                } else {
+                    f.weight * lambda
+                };
+                for l in &f.links {
+                    used[l.0 as usize] += f.rate;
+                }
+                froze_any = true;
+                false
+            });
+            assert!(froze_any, "progressive filling failed to make progress");
+        }
+
+        // `-0.0` is the neutral element `Iterator::sum` starts from, so an
+        // idle resource reads exactly what a per-query sum would return.
+        self.totals.clear();
+        self.totals.resize(n_res, -0.0);
+        for slot in &self.slots {
+            if let Slot::Occupied { flow: f, .. } = slot {
+                for l in &f.links {
+                    self.totals[l.0 as usize] += f.rate;
+                }
+            }
+        }
+        crate::obs::fluid_solved(rounds);
+    }
+
+    /// The progressive-filling solver [`FluidSystem::ensure_rates`] must
+    /// match bit for bit, kept as the test oracle: it rescans every slot
+    /// each round and allocates per round. Returns every flow's rate in
+    /// slot order without touching the system.
+    #[doc(hidden)]
+    pub fn reference_rates(&self) -> Vec<(FlowId, f64)> {
+        let n_res = self.resources.len();
         let mut used = vec![0.0f64; n_res]; // rate already frozen on each resource
         let mut frozen: Vec<bool> = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             frozen.push(!matches!(slot, Slot::Occupied { .. }));
         }
         // Zero-rate init.
-        for slot in self.slots.iter_mut() {
-            if let Slot::Occupied { flow, .. } = slot {
-                flow.rate = 0.0;
-            }
-        }
+        let mut rates = vec![0.0f64; self.slots.len()];
 
         loop {
             // Aggregate unfrozen weight per resource.
@@ -436,14 +549,10 @@ impl FluidSystem {
                 }
             }
             let mut froze_any = false;
-            let ids: Vec<u32> = self.iter_flows().map(|(i, _)| i).collect();
-            for i in ids {
+            for (i, f) in self.iter_flows() {
                 if frozen[i as usize] {
                     continue;
                 }
-                let Some(f) = self.flow_by_idx(i) else {
-                    continue;
-                };
                 let (hits_saturated, capped, weight, max_rate, links) = (
                     f.links.iter().any(|l| saturated[l.0 as usize]),
                     f.max_rate.is_finite() && f.max_rate / f.weight <= lambda + tol,
@@ -457,7 +566,7 @@ impl FluidSystem {
                     } else {
                         weight * lambda
                     };
-                    self.set_rate_by_idx(i, rate);
+                    rates[i as usize] = rate;
                     for l in &links {
                         used[l.0 as usize] += rate;
                     }
@@ -467,6 +576,9 @@ impl FluidSystem {
             }
             assert!(froze_any, "progressive filling failed to make progress");
         }
+        self.iter_flows_with_id()
+            .map(|(id, _)| (id, rates[id.idx as usize]))
+            .collect()
     }
 
     /// Time until the next flow completes at current rates, as

@@ -53,6 +53,26 @@ mod real {
         })
     }
 
+    fn fluid_solves() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| {
+            metrics().counter(
+                "cynthia_sim_fluid_solves_total",
+                "Max-min rate solves (progressive filling runs) of the fluid system",
+            )
+        })
+    }
+
+    fn fluid_fill_rounds() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| {
+            metrics().counter(
+                "cynthia_sim_fluid_fill_rounds_total",
+                "Progressive-filling rounds summed over fluid solves",
+            )
+        })
+    }
+
     #[inline]
     pub fn event_popped() {
         if cynthia_obs::enabled() {
@@ -80,6 +100,15 @@ mod real {
             flows_cancelled().add(n as u64);
         }
     }
+
+    /// One finished rate solve that took `rounds` filling rounds.
+    #[inline]
+    pub fn fluid_solved(rounds: u64) {
+        if cynthia_obs::enabled() {
+            fluid_solves().inc();
+            fluid_fill_rounds().add(rounds);
+        }
+    }
 }
 
 #[cfg(feature = "obs")]
@@ -96,6 +125,8 @@ mod stub {
     pub fn flows_finished(_n: usize) {}
     #[inline(always)]
     pub fn flows_dropped(_n: usize) {}
+    #[inline(always)]
+    pub fn fluid_solved(_rounds: u64) {}
 }
 
 #[cfg(not(feature = "obs"))]
